@@ -325,6 +325,21 @@ let micro_tests () =
            let s = Ormp_sequitur.Sequitur.create ?size_hint () in
            Ormp_sequitur.Sequitur.push_batch s input ~off:0 ~len:(Array.length input)))
   in
+  (* The load path: rebuild the 32k scattered grammar from its listing,
+     as the profile and snapshot loaders do. No digram of the stream
+     repeats, so the listing is its 32768 symbols — the row's event
+     count in [micro_event_counts]. *)
+  let seq_of_rules =
+    let g = Ormp_sequitur.Sequitur.create () in
+    Ormp_sequitur.Sequitur.push_array g scattered_big;
+    assert (Ormp_sequitur.Sequitur.grammar_size g = Array.length scattered_big);
+    let listing = Ormp_sequitur.Sequitur.rules g in
+    Test.make ~name:"sequitur: of_rules 32k scattered"
+      (Staged.stage (fun () ->
+           match Ormp_sequitur.Sequitur.of_rules listing with
+           | Ok _ -> ()
+           | Error e -> failwith e))
+  in
   let range_index =
     Test.make ~name:"range_index: 1k insert+find"
       (Staged.stage (fun () ->
@@ -439,6 +454,7 @@ let micro_tests () =
       seq_push_batch "sequitur: 4k repetitive symbols (push_batch)" repetitive;
       seq_push_batch ~size_hint:(Array.length scattered_big)
         "sequitur: 32k scattered symbols (push_batch, size hint)" scattered_big;
+      seq_of_rules;
         range_index;
         omc_translate;
         omc_translate_fast;
@@ -1175,6 +1191,7 @@ let micro_event_counts =
     ("sequitur: 32k scattered symbols (size hint)", 32768);
     ("sequitur: 4k repetitive symbols (push_batch)", 4096);
     ("sequitur: 32k scattered symbols (push_batch, size hint)", 32768);
+    ("sequitur: of_rules 32k scattered", 32768);
     ("range_index: 1k insert+find", 2000);
     ("omc: 1k translations", 1000);
     ("omc: 1k translations (MRU cache)", 1000);

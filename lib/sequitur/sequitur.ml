@@ -660,10 +660,12 @@ let input_length t = t.input_len
 
 (* Rule ids are monotonic and never recycled, so an ascending id scan
    enumerates live rules deterministically (start rule first) with no
-   intermediate sorted id list. *)
+   intermediate sorted id list. The rule columns can stop short of
+   [next_rule_id]: a grammar rebuilt by [of_rules] sizes them to its
+   largest listed id. *)
 let fold_live_rules t init f =
   let acc = ref init in
-  for id = 0 to t.next_rule_id - 1 do
+  for id = 0 to min t.next_rule_id (Array.length t.rule_guard) - 1 do
     if t.rule_guard.(id) >= 0 then acc := f !acc id
   done;
   !acc
@@ -715,42 +717,254 @@ let iter_rules t f = fold_live_rules t () (fun () id -> f id (rhs_list t id))
 
 let rules t = List.rev (fold_live_rules t [] (fun acc id -> (id, rhs_list t id) :: acc))
 
-let of_rules rule_list =
-  let table = Hashtbl.create 64 in
-  List.iter (fun (id, rhs) -> Hashtbl.replace table id rhs) rule_list;
-  if not (Hashtbl.mem table 0) then Error "grammar has no start rule"
-  else begin
-    let exception Bad of string in
-    let memo = Hashtbl.create 64 in
-    let expanding = Hashtbl.create 16 in
-    let rec expand_rule id =
-      match Hashtbl.find_opt memo id with
-      | Some e -> e
-      | None ->
-        if Hashtbl.mem expanding id then
-          (* A corrupted listing can reference a rule from its own
-             expansion; without this check the recursion would never
-             terminate. *)
-          raise (Bad (Printf.sprintf "cyclic rule R%d" id));
-        (match Hashtbl.find_opt table id with
-        | None -> raise (Bad (Printf.sprintf "dangling rule R%d" id))
-        | Some rhs ->
-          Hashtbl.replace expanding id ();
-          let parts = List.map (function `T v -> [ v ] | `N r -> expand_rule r) rhs in
-          Hashtbl.remove expanding id;
-          let e = List.concat parts in
-          Hashtbl.replace memo id e;
-          e)
+(* --- loading ------------------------------------------------------------ *)
+
+(* A grammar rebuilt from its listing is laid out afresh and its digram
+   index is canonical: every key bound to its first occurrence in
+   rule-id/position order. The listing fixes the rules, so the rebuilt
+   grammar lists, expands and measures exactly like the saved one. What
+   the listing does not fix is how the compressor continues: the saved
+   compressor's index can bind a later occurrence of a key (overlapping
+   runs like "aaa", packed-key collisions), or leave a key unbound after
+   a substitution deleted the occurrence it named, and its next rule id
+   can exceed the largest live id (retired rules). [live] records exactly
+   those differences; the stale-entry generations, tombstones, free list
+   and slot numbers that also differ are invisible to every push. *)
+
+type live = { next_rule : int; rebound : (int * int) list; unbound : (int * int) list }
+
+(* Slot of the live (non-stale) binding for [key], or -1. *)
+let dig_find t key =
+  let p = dig_probe t key in
+  if p < 0 then -1
+  else
+    let v = Array.unsafe_get t.dig (p + 1) in
+    let s = v land slot_mask in
+    if v lsr slot_bits = gen t s then s else -1
+
+(* Every digram occurrence in rule-id/position order, as
+   [f rule position anchor-slot key]. *)
+let iter_anchors t f =
+  fold_live_rules t () (fun () id ->
+      let g = t.rule_guard.(id) in
+      let s = ref (s_nxt t g) and pos = ref 0 in
+      while !s <> g && s_nxt t !s <> g do
+        let n = s_nxt t !s in
+        f id !pos !s (pack (sym_code t !s) (sym_code t n));
+        s := n;
+        incr pos
+      done)
+
+let index_canonical t =
+  iter_anchors t (fun _ _ s key ->
+      let p = dig_probe t key in
+      if p < 0 then dig_insert_at t (lnot p) key s)
+
+let live t =
+  (* The canonical index, built over a scratch table that shares the
+     (read-only) arena — the same code [of_rules] starts from. *)
+  let cap = next_pow2 (max 16 (4 * t.dig_live)) in
+  let c = { t with dig = dig_alloc cap; dig_mask = cap - 1; dig_live = 0; dig_used = 0 } in
+  index_canonical c;
+  let unbound = ref [] and moved = ref [] in
+  iter_anchors t (fun id pos s key ->
+      if dig_find c key = s then begin
+        let l = dig_find t key in
+        if l < 0 then unbound := (id, pos) :: !unbound
+        else if l <> s then moved := l :: !moved
+      end);
+  (* A live binding always anchors a live digram, so a second walk finds
+     every moved anchor's position. *)
+  let rebound =
+    if !moved = [] then []
+    else begin
+      let want = Hashtbl.create 16 in
+      List.iter (fun s -> Hashtbl.replace want s ()) !moved;
+      let acc = ref [] in
+      iter_anchors t (fun id pos s _ -> if Hashtbl.mem want s then acc := (id, pos) :: !acc);
+      List.rev !acc
+    end
+  in
+  { next_rule = t.next_rule_id; rebound; unbound = List.rev !unbound }
+
+let of_rules ?live rule_list =
+  let exception Bad of string in
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  match
+    let rules = Array.of_list rule_list in
+    let n = Array.length rules in
+    let index = Hashtbl.create (max 16 n) in
+    let max_id = ref 0 in
+    Array.iteri
+      (fun i (id, _) ->
+        if id < 0 then bad "negative rule id R%d" id;
+        if Hashtbl.mem index id then bad "duplicate rule R%d" id;
+        Hashtbl.add index id i;
+        if id > !max_id then max_id := id)
+      rules;
+    let root =
+      match Hashtbl.find_opt index 0 with Some i -> i | None -> bad "grammar has no start rule"
     in
-    match expand_rule 0 with
-    | terminals ->
-      (* The algorithm is deterministic: re-pushing the expansion rebuilds
-         exactly the saved grammar, rule ids included. *)
-      let g = create ~size_hint:(List.length terminals) () in
-      List.iter (push g) terminals;
-      Ok g
-    | exception Bad msg -> Error msg
-  end
+    (* Flattened right-hand sides: symbol [k] of listing entry [i] is at
+       [start.(i) + k]; [code] holds the terminal or rule id, [target] the
+       referenced rule's listing index (-1 for a terminal). *)
+    let start = Array.make (n + 1) 0 in
+    Array.iteri (fun i (_, rhs) -> start.(i + 1) <- start.(i) + List.length rhs) rules;
+    let total = start.(n) in
+    let code = Array.make total 0 and target = Array.make total (-1) in
+    let uses = Array.make n 0 in
+    Array.iteri
+      (fun i (_, rhs) ->
+        List.iteri
+          (fun k sym ->
+            let j = start.(i) + k in
+            match sym with
+            | `T v -> code.(j) <- v
+            | `N r -> (
+              match Hashtbl.find_opt index r with
+              | None -> bad "dangling rule R%d" r
+              | Some ri ->
+                code.(j) <- r;
+                target.(j) <- ri;
+                uses.(ri) <- uses.(ri) + 1))
+          rhs)
+      rules;
+    (* Expansion lengths by an explicit-stack depth-first walk from the
+       start rule (a corrupt listing can nest arbitrarily deep). [len] is
+       -1 unvisited, -2 on the stack, else the finished length — summed
+       with an overflow check, never materialized. *)
+    let len = Array.make n (-1) in
+    let stack = Array.make n 0 and cursor = Array.make n 0 in
+    let sp = ref 0 in
+    let enter i =
+      len.(i) <- -2;
+      stack.(!sp) <- i;
+      cursor.(!sp) <- start.(i);
+      incr sp
+    in
+    enter root;
+    while !sp > 0 do
+      let top = !sp - 1 in
+      let i = stack.(top) and j = cursor.(top) in
+      if j = start.(i + 1) then begin
+        let l = ref 0 in
+        for k = start.(i) to j - 1 do
+          let w = if target.(k) < 0 then 1 else len.(target.(k)) in
+          if !l > max_int - w then bad "expansion of R%d overflows" (fst rules.(i));
+          l := !l + w
+        done;
+        len.(i) <- !l;
+        sp := top
+      end
+      else begin
+        cursor.(top) <- j + 1;
+        let c = target.(j) in
+        if c >= 0 then
+          if len.(c) = -2 then bad "cyclic rule R%d" (fst rules.(c))
+          else if len.(c) = -1 then enter c
+      end
+    done;
+    Array.iteri
+      (fun i (id, _) ->
+        if len.(i) = -1 then bad "unreachable rule R%d" id;
+        if i <> root && uses.(i) < 2 then bad "rule R%d violates utility (%d uses)" id uses.(i))
+      rules;
+    let input_len = len.(root) in
+    (* Sequitur creates at most one rule per pushed terminal, so the next
+       id never exceeds [input_length + 1] and no live id reaches it. *)
+    if !max_id > input_len then
+      bad "rule id R%d exceeds the expansion length %d" !max_id input_len;
+    let next_rule =
+      match live with
+      | None -> !max_id + 1
+      | Some l ->
+        if l.next_rule <= !max_id || l.next_rule - 1 > input_len then
+          bad "next rule id %d outside (%d, %d]" l.next_rule !max_id (input_len + 1);
+        l.next_rule
+    in
+    (* Arenas sized to the grammar: one guard plus one slot per symbol,
+       and an index more than twice the digram count (a rule of k symbols
+       holds k - 1 digrams), so the build never grows either. Rule columns
+       stop at the largest listed id; the first new rule grows them. *)
+    let digrams = ref 0 in
+    for i = 0 to n - 1 do
+      digrams := !digrams + max 0 (start.(i + 1) - start.(i) - 1)
+    done;
+    let dig_cap = next_pow2 (max 16 ((2 * !digrams) + 1)) in
+    let t =
+      {
+        sym = Array.make (4 * max 16 (total + n)) 0;
+        sym_top = 0;
+        free_head = -1;
+        pend = Array.make 64 0;
+        pend_len = 0;
+        rule_guard = Array.make (!max_id + 1) (-1);
+        rule_refs = Array.make (!max_id + 1) 0;
+        next_rule_id = next_rule;
+        live_rule_count = n;
+        dig = dig_alloc dig_cap;
+        dig_mask = dig_cap - 1;
+        dig_live = 0;
+        dig_used = 0;
+        input_len;
+        need_sweep = false;
+        tm_on = false;
+        tm_matches = 0;
+        tm_created = 0;
+        tm_retired = 0;
+        tm_inlines = 0;
+      }
+    in
+    (* Each rule is one contiguous run — guard, then its symbols — so
+       symbol [p] of rule [r] sits at [rule_guard.(r) + 4 * (p + 1)]. *)
+    let a = t.sym in
+    Array.iteri
+      (fun i (id, _) ->
+        let g = 4 * (start.(i) + i) in
+        let cnt = start.(i + 1) - start.(i) in
+        let last = g + (4 * cnt) in
+        a.(g) <- id;
+        a.(g + 1) <- last;
+        a.(g + 2) <- (if cnt = 0 then g else g + 4);
+        a.(g + 3) <- tag_live lor tag_guard;
+        for k = 0 to cnt - 1 do
+          let s = g + (4 * (k + 1)) and j = start.(i) + k in
+          a.(s) <- code.(j);
+          a.(s + 1) <- s - 4;
+          a.(s + 2) <- (if s = last then g else s + 4);
+          a.(s + 3) <- (if target.(j) >= 0 then tag_live lor tag_nonterm else tag_live)
+        done;
+        t.rule_guard.(id) <- g;
+        t.rule_refs.(id) <- uses.(i))
+      rules;
+    t.sym_top <- 4 * (total + n);
+    index_canonical t;
+    (match live with
+    | None -> ()
+    | Some l ->
+      let anchor (r, p) =
+        match Hashtbl.find_opt index r with
+        | None -> bad "live anchor (R%d, %d) names no rule" r p
+        | Some i ->
+          if p < 0 || p >= start.(i + 1) - start.(i) - 1 then
+            bad "live anchor (R%d, %d) has no digram" r p;
+          t.rule_guard.(r) + (4 * (p + 1))
+      in
+      let key s = pack (sym_code t s) (sym_code t (s_nxt t s)) in
+      List.iter
+        (fun rp ->
+          let s = anchor rp in
+          dig_remove_if t (key s) s)
+        l.unbound;
+      List.iter
+        (fun rp ->
+          let s = anchor rp in
+          dig_replace t (key s) s)
+        l.rebound);
+    t
+  with
+  | t -> Ok t
+  | exception Bad msg -> Error msg
 
 let pp fmt t =
   iter_rules t (fun id rhs ->

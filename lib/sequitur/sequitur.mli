@@ -64,14 +64,53 @@ val iter_rules : t -> (int -> [ `T of int | `N of int ] list -> unit) -> unit
     is already sorted. Serialization ([persist]) and verification
     ([check]) enumerate rules through this. *)
 
-val of_rules : (int * [ `T of int | `N of int ] list) list -> (t, string) result
-(** Rebuild a live compressor from a {!rules} listing: the start rule is
-    expanded (rejecting dangling and cyclic rule references) and the
-    terminal sequence re-pushed. Sequitur is deterministic, so the rebuilt
-    grammar has exactly the saved rules — ids included — and further
-    {!push}es continue as if the original compressor had never stopped.
-    This is what makes grammar state checkpointable: a snapshot is just
-    {!rules}. *)
+type live = {
+  next_rule : int;  (** the id the next new rule will take *)
+  rebound : (int * int) list;
+      (** [(rule, position)] anchors of digrams the index binds where the
+          canonical index binds another occurrence of the same packed key,
+          in rule-id/position order *)
+  unbound : (int * int) list;
+      (** canonical anchors whose packed key the index leaves unbound *)
+}
+(** The compressor state a {!rules} listing leaves out and further
+    {!push}es depend on. A grammar rebuilt from its listing binds every
+    digram key to its first occurrence in rule-id/position order (the
+    {e canonical} index) and numbers new rules from the largest listed id;
+    the compressor that wrote the listing may differ on both — overlapping
+    runs and packed-key collisions leave a later occurrence bound, a
+    substitution can leave a key unbound, and retired rules keep their ids
+    taken. Typically a handful of anchors per grammar. *)
+
+val live : t -> live
+(** The live record of [t], in O(grammar size), for checkpoints.
+    Compressors with equal {!rules} and equal live records respond
+    identically to every further push. *)
+
+val of_rules :
+  ?live:live -> (int * [ `T of int | `N of int ] list) list -> (t, string) result
+(** Rebuild a compressor directly from a {!rules} listing, in time and
+    space linear in the listing (plus the largest rule id, which the
+    compressor that wrote the listing had allocated too). The expansion is
+    never materialized and nothing is pushed.
+
+    The rebuilt grammar always has exactly the listed rules — ids
+    included — so {!rules}, {!expand}, {!input_length}, {!grammar_size}
+    and {!byte_size} match the original. Further {!push}es continue
+    exactly as the original compressor would only when [live] is that
+    compressor's {!live} record; without it they still build a valid
+    Sequitur grammar of the whole sequence, but not necessarily the same
+    one. Session snapshots therefore store [live] beside each listing;
+    profile files, which are never pushed to again, do not.
+
+    Rejects, with [Error] and without allocating in proportion to the
+    claimed expansion: a missing start rule (id 0); negative or duplicate
+    ids; dangling, cyclic or unreachable rule references; a non-start
+    rule used fewer than twice; an expansion longer than [max_int]; a rule
+    id above the expansion length (Sequitur creates at most one rule per
+    terminal); and a [live] record whose next rule id is not above every
+    listed id or exceeds the expansion length + 1, or whose anchors name
+    no rule or sit on a rule's last symbol. *)
 
 val pp : Format.formatter -> t -> unit
 (** Pretty-print the grammar, one rule per line ([R0 -> a R1 R1]). *)

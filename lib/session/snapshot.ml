@@ -6,7 +6,10 @@ module Leap = Ormp_leap.Leap
 module Lmad_io = Ormp_persist.Lmad_io
 module Grammar_io = Ormp_persist.Grammar_io
 
-let version = 1
+(* Version 2 writes each grammar's Sequitur live record beside its rule
+   listing; a version-1 snapshot cannot be continued exactly and is
+   rejected, so resume falls back to an older snapshot or a fresh run. *)
+let version = 2
 
 type epoch = {
   ep_index : int;
@@ -124,12 +127,12 @@ let to_sexp (t : t) =
         cdc_to_sexp t.cdc;
         S.field "whomp"
           [
-            Grammar_io.to_sexp ("instr", gi);
-            Grammar_io.to_sexp ("group", gg);
-            Grammar_io.to_sexp ("object", go);
-            Grammar_io.to_sexp ("offset", gf);
+            Grammar_io.to_sexp ~live:true ("instr", gi);
+            Grammar_io.to_sexp ~live:true ("group", gg);
+            Grammar_io.to_sexp ~live:true ("object", go);
+            Grammar_io.to_sexp ~live:true ("offset", gf);
           ];
-        S.field "rasg" [ Grammar_io.to_sexp ("rasg", t.rasg) ];
+        S.field "rasg" [ Grammar_io.to_sexp ~live:true ("rasg", t.rasg) ];
         leap_to_sexp t.leap;
       ])
 

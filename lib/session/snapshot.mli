@@ -4,9 +4,13 @@
     stopped: the CDC/OMC translation state, the four WHOMP dimension
     grammars, the RASG baseline grammar, and the LEAP collector's live
     stream states ({!Ormp_lmad.Compressor.state}, open descriptors
-    included). Grammars serialize as their rule listings —
-    {!Ormp_sequitur.Sequitur.of_rules} rebuilds a live grammar that
-    continues byte-for-byte.
+    included). Grammars serialize as their rule listings, each followed
+    by the compressor's {!Ormp_sequitur.Sequitur.live} record (next rule
+    id and the digram-index anchors that differ from the canonical
+    index): {!Ormp_sequitur.Sequitur.of_rules} rebuilds from both, in time
+    linear in the listing, a grammar that continues byte-for-byte. The
+    live record made this format version 2; a version-1 snapshot (listings
+    only) loads as [Error], so resume skips it like any unusable snapshot.
 
     Files are written atomically and sealed with a CRC-32 trailer
     ({!Storage}); a snapshot that fails its seal is skipped in favour of

@@ -31,9 +31,12 @@ val profile :
 
     The four-grammar SCC core behind {!sink}/{!sink_batched}, exposed so
     the session layer can checkpoint and restore it: a grammar snapshot is
-    its {!Ormp_sequitur.Sequitur.rules} listing, and a collector rebuilt
-    around grammars restored with {!Ormp_sequitur.Sequitur.of_rules}
-    continues the decomposition byte-for-byte. *)
+    its {!Ormp_sequitur.Sequitur.rules} listing plus its
+    {!Ormp_sequitur.Sequitur.live} record, and a collector rebuilt around
+    grammars restored with [Ormp_sequitur.Sequitur.of_rules ~live]
+    continues the decomposition byte-for-byte. Grammars restored from the
+    listing alone (profile files) have the same rules but need not
+    continue identically. *)
 
 type collector
 

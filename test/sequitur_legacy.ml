@@ -236,3 +236,43 @@ let rules t =
                | Guard _ -> assert false)
                :: !rhs);
          (r.id, List.rev !rhs) :: acc))
+
+(* The expand-and-replay loader [Sequitur.of_rules] used before it built
+   the arena straight from the listing, kept as the reference the direct
+   builder is checked against: expand the start rule through a memo of
+   per-rule term lists (rejecting dangling and cyclic references), then
+   push every terminal through a fresh flat-arena compressor. Sequitur is
+   deterministic, so the replay rebuilds the saved grammar rule for rule
+   — and, unlike a rebuild from the listing alone, exactly the saved
+   compressor state. *)
+let of_rules_replay rule_list =
+  let module Seq = Ormp_sequitur.Sequitur in
+  let table = Hashtbl.create 64 in
+  List.iter (fun (id, rhs) -> Hashtbl.replace table id rhs) rule_list;
+  if not (Hashtbl.mem table 0) then Error "grammar has no start rule"
+  else begin
+    let exception Bad of string in
+    let memo = Hashtbl.create 64 in
+    let expanding = Hashtbl.create 16 in
+    let rec expand_rule id =
+      match Hashtbl.find_opt memo id with
+      | Some e -> e
+      | None ->
+        if Hashtbl.mem expanding id then raise (Bad (Printf.sprintf "cyclic rule R%d" id));
+        (match Hashtbl.find_opt table id with
+        | None -> raise (Bad (Printf.sprintf "dangling rule R%d" id))
+        | Some rhs ->
+          Hashtbl.replace expanding id ();
+          let parts = List.map (function `T v -> [ v ] | `N r -> expand_rule r) rhs in
+          Hashtbl.remove expanding id;
+          let e = List.concat parts in
+          Hashtbl.replace memo id e;
+          e)
+    in
+    match expand_rule 0 with
+    | terminals ->
+      let g = Seq.create ~size_hint:(List.length terminals) () in
+      List.iter (Seq.push g) terminals;
+      Ok g
+    | exception Bad msg -> Error msg
+  end

@@ -221,6 +221,84 @@ let test_whomp_cyclic_grammar () =
       check_bool "cyclic grammar rejected" true
         (Result.is_error (Ormp_persist.Whomp_io.load path)))
 
+(* Every listing the grammar decoder cannot rebuild exactly comes back
+   as [Error] — including the ones the expand-and-replay loader used to
+   accept silently (a duplicate id let the last rule win, an unreachable
+   rule was dropped) or tried to expand in memory (an overflowing
+   doubling chain). *)
+let grammar_text body = "(grammar (dim x) " ^ body ^ ")"
+
+let doubling_text depth =
+  String.concat " "
+    (List.init depth (fun k -> Printf.sprintf "(rule %d R%d R%d)" k (k + 1) (k + 1))
+    @ [ Printf.sprintf "(rule %d 1 2)" depth ])
+
+let test_grammar_decoder_totality () =
+  let load_text text =
+    with_tempfile (fun path ->
+        write_file path text;
+        Ormp_persist.Grammar_io.load path)
+  in
+  let rejects name body =
+    match load_text (grammar_text body) with
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+    | Error _ -> ()
+  in
+  rejects "duplicate rule id" "(rule 0 R1 R1) (rule 1 1 2) (rule 1 3 4)";
+  rejects "unreachable rule" "(rule 0 1 2) (rule 1 3 4)";
+  rejects "non-start rule used once" "(rule 0 R1 5) (rule 1 1 2)";
+  rejects "negative rule id" "(rule 0 R-1 R-1) (rule -1 1 2)";
+  rejects "id above the expansion length + 1" "(rule 0 R100 R100) (rule 100 1 2)";
+  rejects "live anchor out of range"
+    "(rule 0 1 2 3) (live (next-rule 1) (rebound 0 5) (unbound))";
+  rejects "live anchor on the last symbol"
+    "(rule 0 1 2 3) (live (next-rule 1) (rebound) (unbound 0 2))";
+  rejects "live anchor in a missing rule"
+    "(rule 0 1 2 3) (live (next-rule 1) (rebound 4 0) (unbound))";
+  rejects "odd live anchor list" "(rule 0 1 2 3) (live (next-rule 1) (rebound 0) (unbound))";
+  rejects "64-level doubling overflows" (doubling_text 64);
+  (* The 40-level chain claims 2^41 terminals and loads in O(40). *)
+  (match load_text (grammar_text (doubling_text 40)) with
+  | Error e -> Alcotest.fail e
+  | Ok (_, g) ->
+    check_int "claimed length" (1 lsl 41) (Ormp_sequitur.Sequitur.input_length g);
+    check_int "listing size" 82 (Ormp_sequitur.Sequitur.grammar_size g));
+  (* A duplicate start rule inside a real profile: the whole load fails. *)
+  let p = Ormp_whomp.Whomp.profile (Ormp_workloads.Micro.matrix ~n:4 ()) in
+  with_tempfile (fun path ->
+      Ormp_persist.Whomp_io.save path p;
+      let good = read_file path in
+      let dup =
+        match find_sub good "(rule 0" with
+        | None -> Alcotest.fail "no start rule in file"
+        | Some i -> String.sub good 0 i ^ "(rule 0 1 2) " ^ String.sub good i (String.length good - i)
+      in
+      write_file path dup;
+      check_bool "duplicate start rule rejected" true
+        (Result.is_error (Ormp_persist.Whomp_io.load path)))
+
+(* The live record round-trips through the codec: a grammar decoded from
+   [to_sexp ~live:true] continues exactly like the one encoded, and
+   profile-style encoding carries no live field. *)
+let test_grammar_live_roundtrip () =
+  let module Seq = Ormp_sequitur.Sequitur in
+  let rng = Prng.create ~seed:7 in
+  let a = Array.init 3000 (fun _ -> Prng.int rng 3) in
+  let cut = 1700 in
+  let whole = Seq.create () in
+  Seq.push_array whole a;
+  let g = Seq.create () in
+  Seq.push_batch g a ~off:0 ~len:cut;
+  let fields sx = match sx with Sexp.List (_ :: args) -> args | _ -> [] in
+  check_bool "no live field by default" true
+    (Result.is_error (Sexp.assoc "live" (Ormp_persist.Grammar_io.to_sexp ("x", g))));
+  match Ormp_persist.Grammar_io.of_sexp (fields (Ormp_persist.Grammar_io.to_sexp ~live:true ("x", g))) with
+  | Error e -> Alcotest.fail e
+  | Ok (_, r) ->
+    check_bool "live record preserved" true (Seq.live r = Seq.live g);
+    Seq.push_batch r a ~off:cut ~len:(Array.length a - cut);
+    check_bool "continues like the uninterrupted compressor" true (Seq.rules r = Seq.rules whole)
+
 (* ------------------------------------------------------------------ *)
 (* WHOMP profile round-trip                                            *)
 (* ------------------------------------------------------------------ *)
@@ -287,5 +365,7 @@ let () =
           tc "expand after load" test_whomp_expand_after_load;
           tc "corruption paths" test_whomp_corruption;
           tc "cyclic grammar" test_whomp_cyclic_grammar;
+          tc "grammar decoder totality" test_grammar_decoder_totality;
+          tc "grammar live record round-trip" test_grammar_live_roundtrip;
         ] );
     ]

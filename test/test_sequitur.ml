@@ -324,6 +324,151 @@ let prop_concat_runs =
       let t = compress a in
       Sequitur.expand t = a)
 
+(* --- loading from a listing --------------------------------------------- *)
+
+let invariants_ok t = match Sequitur.check_invariants t with Ok () -> true | Error _ -> false
+
+let gen_load_stream =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun alphabet ->
+    int_range 0 2000 >>= fun n -> array_size (return n) (int_bound (alphabet - 1)))
+
+let print_stream = QCheck.Print.(array int)
+
+(* The direct builder must rebuild exactly what replaying the expansion
+   rebuilds — rules, expansion and sizes — and a valid arena. *)
+let prop_of_rules_matches_replay =
+  QCheck.Test.make ~name:"of_rules = expand-and-replay reference (alphabets 1-12)" ~count:300
+    (QCheck.make ~print:print_stream gen_load_stream)
+    (fun a ->
+      let g = compress a in
+      let listing = Sequitur.rules g in
+      match (Sequitur.of_rules listing, Sequitur_legacy.of_rules_replay listing) with
+      | Ok d, Ok r ->
+        invariants_ok d
+        && Sequitur.rules d = Sequitur.rules r
+        && Sequitur.expand d = Sequitur.expand r
+        && Sequitur.input_length d = Array.length a
+        && Sequitur.grammar_size d = Sequitur.grammar_size r
+        && Sequitur.byte_size d = Sequitur.byte_size r
+        && Sequitur.rule_count d = Sequitur.rule_count r
+      | Error e, _ | _, Error e -> QCheck.Test.fail_report e)
+
+let resume_at ?(sweep = false) a cut =
+  let g = Sequitur.create () in
+  Sequitur.push_batch g a ~off:0 ~len:cut;
+  if sweep then Sequitur.gen_sweep g;
+  match Sequitur.of_rules ~live:(Sequitur.live g) (Sequitur.rules g) with
+  | Error e -> Error e
+  | Ok r ->
+    if Sequitur.live r <> Sequitur.live g then Error "live record does not round-trip"
+    else begin
+      if sweep then Sequitur.gen_sweep r;
+      Sequitur.push_batch r a ~off:cut ~len:(Array.length a - cut);
+      Ok r
+    end
+
+(* A grammar rebuilt with its live record continues exactly like the
+   compressor that never stopped, gen_sweep or not; and the bound that
+   makes the loader's id check sound holds at every cut. *)
+let prop_of_rules_continuation =
+  QCheck.Test.make ~name:"of_rules ~live continues like the uninterrupted compressor"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(triple print_stream int bool)
+       QCheck.Gen.(triple gen_load_stream (int_bound 2000) bool))
+    (fun (a, cut, sweep) ->
+      let cut = cut mod (Array.length a + 1) in
+      let whole = compress a in
+      let prefix = Sequitur.create () in
+      Sequitur.push_batch prefix a ~off:0 ~len:cut;
+      let l = Sequitur.live prefix in
+      if l.Sequitur.next_rule > Sequitur.input_length prefix + 1 then
+        QCheck.Test.fail_reportf "next rule id %d above input length %d + 1" l.Sequitur.next_rule
+          (Sequitur.input_length prefix);
+      match resume_at ~sweep a cut with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok r ->
+        invariants_ok r
+        && Sequitur.rules r = Sequitur.rules whole
+        && Sequitur.live r = Sequitur.live whole
+        && Sequitur.expand r = a)
+
+(* The live record is needed: over every two-letter stream of up to 9
+   symbols, cut anywhere, the canonical index alone sometimes continues
+   differently (still losslessly), and the live record never does. *)
+let test_live_record_needed () =
+  let diverged = ref 0 in
+  for n = 0 to 9 do
+    for bits = 0 to (1 lsl n) - 1 do
+      let a = Array.init n (fun i -> (bits lsr i) land 1) in
+      let whole = compress a in
+      for cut = 0 to n do
+        (match resume_at a cut with
+        | Error e -> Alcotest.fail e
+        | Ok r ->
+          if Sequitur.rules r <> Sequitur.rules whole then
+            Alcotest.failf "live rebuild diverges at cut %d of %s" cut
+              (String.concat "" (Array.to_list (Array.map string_of_int a))));
+        let g = compress (Array.sub a 0 cut) in
+        match Sequitur.of_rules (Sequitur.rules g) with
+        | Error e -> Alcotest.fail e
+        | Ok bare ->
+          Sequitur.push_batch bare a ~off:cut ~len:(n - cut);
+          if Sequitur.expand bare <> a then Alcotest.fail "bare rebuild lost data";
+          if Sequitur.rules bare <> Sequitur.rules whole then incr diverged
+      done
+    done
+  done;
+  check_bool "some bare rebuild diverges" true (!diverged > 0)
+
+let listing_error name listing ?live want =
+  match Sequitur.of_rules ?live listing with
+  | Ok _ -> Alcotest.failf "%s: accepted" name
+  | Error e ->
+    if not (contains_substring e want) then Alcotest.failf "%s: error %S lacks %S" name e want
+
+(* [R_k -> R_{k+1} R_{k+1}] for k < depth, [R_depth -> 1 2]: expansion
+   length 2^(depth+1) from a listing of depth+1 rules. *)
+let doubling depth =
+  List.init depth (fun k -> (k, [ `N (k + 1); `N (k + 1) ])) @ [ (depth, [ `T 1; `T 2 ]) ]
+
+(* Listing and live-record checks beyond the file-level corruption cases
+   in test_persist.ml; each must name its cause. *)
+let test_of_rules_rejects () =
+  let e = listing_error in
+  e "no start rule" [ (1, [ `T 1 ]) ] "no start rule";
+  e "dangling" [ (0, [ `N 7; `N 7 ]) ] "dangling";
+  e "cyclic" [ (0, [ `N 1; `N 1 ]); (1, [ `T 1; `N 1 ]) ] "cyclic";
+  e "start referenced" [ (0, [ `T 1; `N 0 ]) ] "cyclic";
+  e "unreachable cycle" [ (0, [ `T 1 ]); (1, [ `N 2; `N 2 ]); (2, [ `N 1; `N 1 ]) ] "unreachable";
+  e "expansion overflow" (doubling 64) "overflows";
+  let a = of_string "abcabcab" in
+  let g = compress a in
+  let listing = Sequitur.rules g and l = Sequitur.live g in
+  e "live anchor on a negative position" listing
+    ~live:{ l with Sequitur.rebound = [ (0, -1) ] }
+    "no digram";
+  e "next rule not above the ids" listing ~live:{ l with Sequitur.next_rule = 1 } "next rule";
+  e "next rule above the expansion" listing
+    ~live:{ l with Sequitur.next_rule = Array.length a + 2 }
+    "next rule"
+
+(* A 40-level listing claims 2^41 terminals and loads in O(40): the
+   build allocates for the listing, not for the expansion. *)
+let test_of_rules_deep_listing () =
+  let listing = doubling 40 in
+  let before = Gc.minor_words () in
+  match Sequitur.of_rules listing with
+  | Error e -> Alcotest.fail e
+  | Ok g ->
+    let words = Gc.minor_words () -. before in
+    check_bool "allocation independent of the expansion" true (words < 20_000.0);
+    check_int "input length" (1 lsl 41) (Sequitur.input_length g);
+    check_int "grammar size" 82 (Sequitur.grammar_size g);
+    check_bool "rules preserved" true (Sequitur.rules g = listing);
+    ok g
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ormp_sequitur"
@@ -351,6 +496,9 @@ let () =
           tc "push_batch rejects bad spans" test_push_batch_bad_span;
           tc "iter_rules matches rules" test_iter_rules_matches_rules;
           tc "gen_sweep is a no-op at rest" test_gen_sweep_noop;
+          tc "of_rules needs the live record to continue" test_live_record_needed;
+          tc "of_rules rejects malformed listings" test_of_rules_rejects;
+          tc "of_rules loads a deep listing in O(listing)" test_of_rules_deep_listing;
         ] );
       ( "property",
         [
@@ -365,5 +513,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_equiv_collisions;
           QCheck_alcotest.to_alcotest prop_equiv_runs;
           QCheck_alcotest.to_alcotest prop_gen_sweep_transparent;
+          QCheck_alcotest.to_alcotest prop_of_rules_matches_replay;
+          QCheck_alcotest.to_alcotest prop_of_rules_continuation;
         ] );
     ]

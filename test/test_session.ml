@@ -441,6 +441,92 @@ let test_resume_discards_corrupt_snapshot () =
   rm_rf dir;
   rm_rf ref_dir
 
+(* Rewrite a sealed snapshot in place through [f] on its s-expression. *)
+let reseal path f =
+  match Storage.load_sealed path with
+  | Error e -> Alcotest.fail e
+  | Ok sx -> Storage.save_sealed path (f sx)
+
+let rec map_sexp f sx =
+  match f sx with
+  | Some sx' -> sx'
+  | None -> (
+    match sx with
+    | Ormp_util.Sexp.List xs -> Ormp_util.Sexp.List (List.map (map_sexp f) xs)
+    | atom -> atom)
+
+(* Version 1 wrote grammar listings without live records: set the version
+   back and drop every [(live ...)] field. *)
+let rec to_v1 sx =
+  let module S = Ormp_util.Sexp in
+  match sx with
+  | S.List (S.Atom "version" :: _) -> S.field "version" [ S.int 1 ]
+  | S.List xs ->
+    S.List
+      (List.filter_map (function S.List (S.Atom "live" :: _) -> None | x -> Some (to_v1 x)) xs)
+  | atom -> atom
+
+let contains hay needle =
+  let n = String.length hay and m = String.length needle in
+  let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
+  go 0
+
+(* A v1 snapshot cannot continue its grammars exactly, so it must load as
+   [Error]; resume then falls back past every v1 snapshot to a fresh run
+   and still converges to the reference bytes. *)
+let test_resume_past_v1_snapshots () =
+  let workload = "linked_list" in
+  let ref_dir, _ = run_reference ~workload ~options:session_options in
+  let ref_bytes = profile_bytes ref_dir in
+  let dir = tmpdir () in
+  let io = Faults.Io.create { Faults.Io.none with kill_at_checkpoint = Some 3 } in
+  (match Session.run ~io ~options:session_options ~dir ~workload () with
+  | exception Faults.Io.Killed _ -> ()
+  | _ -> Alcotest.fail "kill did not fire");
+  let snaps =
+    List.filter
+      (fun f -> String.length f > 9 && String.sub f 0 9 = "snapshot-")
+      (Array.to_list (Sys.readdir dir))
+  in
+  check_bool "snapshots written" true (snaps <> []);
+  List.iter
+    (fun f ->
+      let path = Filename.concat dir f in
+      check_bool (f ^ " loads as v2") true (Result.is_ok (Snapshot.load path));
+      reseal path to_v1;
+      let text = read_file path in
+      check_bool (f ^ " has no live record") false (contains text "(live");
+      match Snapshot.load path with
+      | Ok _ -> Alcotest.failf "%s: v1 snapshot accepted" f
+      | Error _ -> ())
+    snaps;
+  (match Session.resume ~dir () with
+  | Error e -> Alcotest.fail e
+  | Ok oc ->
+    check_bool "no snapshot used" true (oc.Session.oc_resumed_from = None));
+  check_bool "bytes still identical" true (profile_bytes dir = ref_bytes);
+  rm_rf dir;
+  rm_rf ref_dir
+
+(* A live anchor pointing past its rule is corruption like any other: the
+   snapshot loads as [Error] (never an exception or an out-of-range
+   write). *)
+let test_snapshot_rejects_bad_live_anchor () =
+  let module S = Ormp_util.Sexp in
+  let dir = tmpdir () in
+  let io = Faults.Io.create { Faults.Io.none with kill_at_checkpoint = Some 2 } in
+  (match Session.run ~io ~options:session_options ~dir ~workload:"linked_list" () with
+  | exception Faults.Io.Killed _ -> ()
+  | _ -> Alcotest.fail "kill did not fire");
+  let path = Filename.concat dir "snapshot-2" in
+  check_bool "pristine snapshot loads" true (Result.is_ok (Snapshot.load path));
+  reseal path
+    (map_sexp (function
+      | S.List (S.Atom "rebound" :: _) -> Some (S.field "rebound" [ S.int 0; S.int 1_000_000 ])
+      | _ -> None));
+  check_bool "anchor past the rule rejected" true (Result.is_error (Snapshot.load path));
+  rm_rf dir
+
 let test_session_degrades_on_journal_enospc () =
   let dir = tmpdir () in
   (* Fail the 100th journal write: the session must finish anyway, with
@@ -604,6 +690,8 @@ let () =
           tc "kill + resume is byte-identical at every checkpoint"
             test_kill_and_resume_byte_identity;
           tc "resume survives a corrupt newest snapshot" test_resume_discards_corrupt_snapshot;
+          tc "resume falls back past v1 snapshots" test_resume_past_v1_snapshots;
+          tc "snapshot rejects a bad live anchor" test_snapshot_rejects_bad_live_anchor;
           tc "journal ENOSPC degrades gracefully" test_session_degrades_on_journal_enospc;
           tc "watchdog rotates epochs and caps streams" test_session_rotation_epochs;
         ] );
